@@ -10,12 +10,14 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -711,10 +713,42 @@ func runLadderBench(outPath string, short bool) error {
 	return nil
 }
 
+// hostInfo fingerprints the machine a timing was measured on.
+type hostInfo struct {
+	NProc      int    `json:"nproc"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func fingerprint() hostInfo {
+	h := hostInfo{
+		NProc:      runtime.NumCPU(),
+		CPUModel:   "unknown",
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+		f.Close()
+	}
+	return h
+}
+
 // runCodecBench executes the vcodec benchmark suite (the same benchmarks
 // `go test -bench` runs against internal/codec/vcodec) and writes the
-// measurements as JSON so CI can diff ns/op, B/op, and allocs/op across
-// commits.
+// measurements, with the host they were taken on, as JSON so CI can diff
+// ns/op, B/op, and allocs/op across commits.
 func runCodecBench(outPath string) error {
 	procs := runtime.GOMAXPROCS(0)
 	fmt.Printf("=== codecbench (GOMAXPROCS=%d) ===\n", procs)
@@ -723,7 +757,10 @@ func runCodecBench(outPath string) error {
 		fmt.Printf("%-16s n=%-4d %14.0f ns/op %12d B/op %8d allocs/op\n",
 			r.Name, r.N, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
-	data, err := json.MarshalIndent(results, "", "  ")
+	data, err := json.MarshalIndent(struct {
+		Host    hostInfo             `json:"host"`
+		Results []vcodec.BenchResult `json:"results"`
+	}{fingerprint(), results}, "", "  ")
 	if err != nil {
 		return err
 	}

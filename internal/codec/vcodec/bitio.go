@@ -12,18 +12,11 @@ import (
 // deflate-compressed into the final packet payload.
 type byteWriter struct {
 	buf []byte
-	tmp [binary.MaxVarintLen64]byte
 }
 
-func (w *byteWriter) writeUvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf = append(w.buf, w.tmp[:n]...)
-}
+func (w *byteWriter) writeUvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
-func (w *byteWriter) writeVarint(v int64) {
-	n := binary.PutVarint(w.tmp[:], v)
-	w.buf = append(w.buf, w.tmp[:n]...)
-}
+func (w *byteWriter) writeVarint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
 func (w *byteWriter) writeByte(b byte) { w.buf = append(w.buf, b) }
 
@@ -34,6 +27,11 @@ type byteReader struct {
 }
 
 func (r *byteReader) readUvarint() (uint64, error) {
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 { // one-byte fast path
+		v := uint64(r.buf[r.pos])
+		r.pos++
+		return v, nil
+	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("vcodec: truncated uvarint at %d", r.pos)
@@ -43,6 +41,11 @@ func (r *byteReader) readUvarint() (uint64, error) {
 }
 
 func (r *byteReader) readVarint() (int64, error) {
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 { // one-byte fast path (zigzag)
+		u := int64(r.buf[r.pos])
+		r.pos++
+		return u>>1 ^ -(u & 1), nil
+	}
 	v, n := binary.Varint(r.buf[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("vcodec: truncated varint at %d", r.pos)

@@ -44,10 +44,10 @@ type Config struct {
 	// zero-motion inter prediction only (fast, the default — tiled camera
 	// content has mostly static block positions, §3.2).
 	SearchRadius int
-	// MinQP/MaxQP bound the rate controller (defaults 0..51). Step sizes
-	// scale with bit depth (see qpToStep), so the same QP range covers
-	// 8-bit and 16-bit planes. MaxQP accepts ExplicitZero to pin the
-	// controller at QP 0.
+	// MinQP/MaxQP bound the rate controller (defaults 0..51, the widest
+	// range allowed). Step sizes scale with bit depth (see quantizer), so
+	// the same QP range covers 8-bit and 16-bit planes. MaxQP accepts
+	// ExplicitZero to pin the controller at QP 0.
 	MinQP, MaxQP int
 	// ChromaQPOffset is added to the QP for planes 1 and 2, quantizing
 	// chroma more coarsely than luma (default +6; ExplicitZero codes
@@ -98,6 +98,9 @@ func (c Config) Validate() error {
 	}
 	if c.BitDepth != 8 && c.BitDepth != 16 {
 		return fmt.Errorf("vcodec: BitDepth must be 8 or 16, got %d", c.BitDepth)
+	}
+	if d := c.withDefaults(); d.MinQP < 0 || d.MaxQP > maxQP || d.MinQP > d.MaxQP {
+		return fmt.Errorf("vcodec: QP range %d..%d outside 0..%d", d.MinQP, d.MaxQP, maxQP)
 	}
 	return nil
 }
@@ -491,9 +494,9 @@ func (e *Encoder) encode(f *Frame, qp int) (*Packet, error) {
 		}
 		e.planes = append(e.planes, planeCode{
 			src: e.srcPlanes[p], prev: prevPlane, recon: recon.planes[p],
-			w: pw, h: ph,
+			w: pw, h: ph, bitDepth: e.cfg.BitDepth,
 			maxVal: maxVal, mid: mid,
-			step:   qpToStep(pqp, e.cfg.BitDepth),
+			q:      newQuantizer(pqp),
 			radius: e.cfg.SearchRadius,
 		})
 	}
@@ -551,15 +554,38 @@ func (e *Encoder) encode(f *Frame, qp int) (*Packet, error) {
 		e.modelA = a
 		e.hasModel = true
 	} else {
-		e.modelA = 0.7*e.modelA + 0.3*a
+		// The float64 conversions forbid fusing this into an FMA (Go
+		// spec, arithmetic operators), so QP choices match across
+		// architectures.
+		e.modelA = float64(0.7*e.modelA) + float64(0.3*a)
 	}
 	e.lastQP = qp
 	return pkt, nil
 }
 
 // gather copies the block at (x0, y0) from plane into dst with edge
-// clamping for out-of-bounds samples.
+// clamping for out-of-bounds samples. A block wholly inside the plane (the
+// common case, and every motion-search candidate away from the edges)
+// takes a straight 8-row copy, which reads exactly the samples the
+// clamping loop would.
 func gather(plane []int32, w, h, x0, y0 int, dst *[blockSize * blockSize]int32) {
+	if x0 >= 0 && y0 >= 0 && x0 <= w-blockSize && y0 <= h-blockSize {
+		for y := 0; y < blockSize; y++ {
+			o := (y0+y)*w + x0
+			s := plane[o : o+blockSize : o+blockSize]
+			d := dst[y*blockSize : y*blockSize+blockSize : y*blockSize+blockSize]
+			// Element-wise, not copy(): a 32-byte copy() is a memmove call.
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
+		}
+		return
+	}
+	gatherClamped(plane, w, h, x0, y0, dst)
+}
+
+// gatherClamped is gather's general path: every sample coordinate is
+// clamped to the plane.
+func gatherClamped(plane []int32, w, h, x0, y0 int, dst *[blockSize * blockSize]int32) {
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy < 0 {
@@ -584,37 +610,29 @@ func gather(plane []int32, w, h, x0, y0 int, dst *[blockSize * blockSize]int32) 
 
 // scatter writes pred+residual (clamped) into the in-bounds part of the
 // block at (x0, y0).
-func scatter(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, resid *[blockSize * blockSize]float64, maxVal int32) {
-	for y := 0; y < blockSize; y++ {
-		sy := y0 + y
-		if sy >= h {
-			break
-		}
-		for x := 0; x < blockSize; x++ {
-			sx := x0 + x
-			if sx >= w {
-				break
-			}
-			v := pred[y*blockSize+x] + int32(math.Round(resid[y*blockSize+x]))
-			plane[sy*w+sx] = clampI32(v, 0, maxVal)
+func scatter(plane []int32, w, h, x0, y0 int, pred, resid *[blockSize * blockSize]int32, maxVal int32) {
+	rows, cols := min(blockSize, h-y0), min(blockSize, w-x0)
+	for y := 0; y < rows; y++ {
+		o := (y0+y)*w + x0
+		row := plane[o : o+cols]
+		p := pred[y*blockSize:][:len(row)]
+		r := resid[y*blockSize:][:len(row)]
+		for x := range row {
+			row[x] = clampI32(p[x]+r[x], 0, maxVal)
 		}
 	}
 }
 
 // scatterPredDelta writes pred plus a constant residual delta — the
-// DC-only fast path, bit-identical to scatter over a constant plane.
+// DC-only case, bit-identical to scatter over a constant residual.
 func scatterPredDelta(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, delta, maxVal int32) {
-	for y := 0; y < blockSize; y++ {
-		sy := y0 + y
-		if sy >= h {
-			break
-		}
-		for x := 0; x < blockSize; x++ {
-			sx := x0 + x
-			if sx >= w {
-				break
-			}
-			plane[sy*w+sx] = clampI32(pred[y*blockSize+x]+delta, 0, maxVal)
+	rows, cols := min(blockSize, h-y0), min(blockSize, w-x0)
+	for y := 0; y < rows; y++ {
+		o := (y0+y)*w + x0
+		row := plane[o : o+cols]
+		p := pred[y*blockSize:][:len(row)]
+		for x := range row {
+			row[x] = clampI32(p[x]+delta, 0, maxVal)
 		}
 	}
 }
@@ -824,9 +842,9 @@ func (d *Decoder) decode(pkt *Packet) (*Frame, error) {
 		}
 		d.planes = append(d.planes, planeDecode{
 			pp: parsed[p], prev: prevPlane, recon: recon.planes[p],
-			w: pw, h: ph,
+			w: pw, h: ph, bitDepth: cfg.BitDepth,
 			maxVal: maxVal, mid: mid,
-			step:   qpToStep(pqp, cfg.BitDepth),
+			q: newQuantizer(pqp),
 		})
 	}
 	d.jobs = d.jobs[:0]

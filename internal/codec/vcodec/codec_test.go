@@ -86,6 +86,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Width: 8, Height: 8, NumPlanes: 1, BitDepth: 12}).Validate(); err == nil {
 		t.Error("12-bit accepted")
 	}
+	// The integer level scale covers QP 0..maxQP.
+	for _, qr := range [][2]int{{-1, 0}, {0, maxQP + 1}, {30, 20}} {
+		if err := (Config{Width: 8, Height: 8, NumPlanes: 1, BitDepth: 8, MinQP: qr[0], MaxQP: qr[1]}).Validate(); err == nil {
+			t.Errorf("QP range %d..%d accepted", qr[0], qr[1])
+		}
+	}
 	if _, err := NewEncoder(Config{}); err == nil {
 		t.Error("empty config accepted by encoder")
 	}
@@ -386,19 +392,30 @@ func TestMotionSearchImprovesMovingContent(t *testing.T) {
 	}
 }
 
+// sampleStep is the quantizer step in sample units at bitDepth (the
+// H.265 Qstep, 2^((qp-4)/6) · 2^(B-8) to within 0.8%).
+func sampleStep(qp, bitDepth int) float64 {
+	return math.Ldexp(float64(newQuantizer(qp).step), bitDepth-17)
+}
+
 func TestQPToStepDoubling(t *testing.T) {
-	for qp := 0; qp < 40; qp++ {
-		r := qpToStep(qp+6, 8) / qpToStep(qp, 8)
-		if math.Abs(r-2) > 1e-9 {
-			t.Fatalf("step ratio at qp %d = %v", qp, r)
+	// The integer step doubles exactly every 6 QP and stays within 1% of
+	// the H.265 step 2^((qp-4)/6) the rate controller's model assumes.
+	for qp := 0; qp <= maxQP; qp++ {
+		if qp+6 <= maxQP && newQuantizer(qp+6).step != 2*newQuantizer(qp).step {
+			t.Fatalf("step at qp %d does not double at qp %d", qp, qp+6)
+		}
+		want := math.Exp2(float64(qp-4) / 6)
+		if got := sampleStep(qp, 8); math.Abs(got/want-1) > 0.01 {
+			t.Fatalf("qp %d step %v, want %v within 1%%", qp, got, want)
 		}
 	}
-	if math.Abs(qpToStep(4, 8)-1) > 1e-12 {
-		t.Errorf("qp 4 step = %v, want 1", qpToStep(4, 8))
+	if sampleStep(4, 8) != 1 {
+		t.Errorf("qp 4 step = %v, want 1", sampleStep(4, 8))
 	}
 	// 16-bit planes quantize relative to their full scale (H.265-style):
 	// the same QP uses a 256x larger step.
-	if math.Abs(qpToStep(20, 16)/qpToStep(20, 8)-256) > 1e-9 {
+	if sampleStep(20, 16)/sampleStep(20, 8) != 256 {
 		t.Error("bit-depth step scaling wrong")
 	}
 }
@@ -418,39 +435,55 @@ func TestZigzagIsPermutation(t *testing.T) {
 }
 
 func TestDCTRoundTrip(t *testing.T) {
+	// Forward then inverse integer transform, no quantization. The core
+	// matrix is not exactly orthogonal (M·Mᵀ has 32740 on four diagonal
+	// entries and ±50 off it, of 32768), so the round trip is the
+	// identity plus an error operator whose worst case is 2.21·max|x|.
+	// For 8-bit residuals against a mid-level prediction (|x| ≤ 128, every
+	// intra block) that is ≤ 1 LSB after rounding; over the full ±255
+	// inter range it is ≤ 2 LSB.
 	rng := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 50; trial++ {
-		var b, orig [blockSize * blockSize]float64
-		for i := range b {
-			b[i] = float64(rng.Intn(65536))
-			orig[i] = b[i]
-		}
-		fdct2d(&b)
-		idct2d(&b)
-		for i := range b {
-			if math.Abs(b[i]-orig[i]) > 1e-6 {
-				t.Fatalf("DCT round trip error %v at %d", b[i]-orig[i], i)
+	for _, tc := range []struct{ amp, tol int32 }{{128, 1}, {255, 2}} {
+		for trial := 0; trial < 2000; trial++ {
+			var b, orig [blockSize * blockSize]int32
+			for i := range b {
+				b[i] = rng.Int31n(2*tc.amp+1) - tc.amp
+				if trial%2 == 1 { // full-magnitude samples of random sign
+					b[i] = tc.amp * (2*rng.Int31n(2) - 1)
+				}
+				orig[i] = b[i]
+			}
+			forwardTransform(&b, 8)
+			inverseTransform(&b, blockSize-1, blockSize-1, 8)
+			for i := range b {
+				if d := b[i] - orig[i]; d < -tc.tol || d > tc.tol {
+					t.Fatalf("amp %d trial %d: round trip error %d at %d", tc.amp, trial, d, i)
+				}
 			}
 		}
 	}
 }
 
 func TestDCTEnergyPreservation(t *testing.T) {
-	// Orthonormal transform: sum of squares preserved (Parseval).
+	// The core transform is the orthonormal DCT scaled by 2^(17-B) to
+	// within rounding: Parseval holds to a fraction of a percent.
 	rng := rand.New(rand.NewSource(63))
-	var b [blockSize * blockSize]float64
-	var e1 float64
-	for i := range b {
-		b[i] = rng.NormFloat64() * 100
-		e1 += b[i] * b[i]
-	}
-	fdct2d(&b)
-	var e2 float64
-	for i := range b {
-		e2 += b[i] * b[i]
-	}
-	if math.Abs(e1-e2)/e1 > 1e-9 {
-		t.Errorf("energy not preserved: %v vs %v", e1, e2)
+	for _, bd := range []int{8, 16} {
+		var b [blockSize * blockSize]int32
+		var e1 float64
+		for i := range b {
+			b[i] = int32(rng.NormFloat64() * 40 * float64(int(1)<<(bd-8)))
+			e1 += float64(b[i]) * float64(b[i])
+		}
+		forwardTransform(&b, bd)
+		var e2 float64
+		for i := range b {
+			e2 += float64(b[i]) * float64(b[i])
+		}
+		gain := math.Exp2(float64(2 * (17 - bd)))
+		if r := e2 / gain / e1; math.Abs(r-1) > 0.005 {
+			t.Errorf("%d-bit: energy ratio %v, want 1", bd, r)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package vcodec
 
 import (
 	"fmt"
-	"math"
 
 	"livo/internal/pipeline"
 )
@@ -15,10 +14,10 @@ import (
 //   - a same-resolution rung re-uses rung 0's mode and motion-vector
 //     streams byte-for-byte and only requantizes the transform
 //     coefficients at a coarser step (a fused requantization transcode:
-//     no source conversion, no SAD/mode decision, no forward DCT). Its
-//     reference pictures are tracked closed-loop — the reconstruction
-//     mirrors exactly what that rung's decoder computes — so the packets
-//     decode with a standard Decoder at any GOMAXPROCS;
+//     no source conversion, no SAD/mode decision, no forward
+//     transform). Its reference pictures are tracked closed-loop — the
+//     reconstruction mirrors exactly what that rung's decoder computes —
+//     so the packets decode with a standard Decoder at any GOMAXPROCS;
 //   - a quarter-resolution rung runs a nested encoder at ceil(W/2) x
 //     ceil(H/2), a quarter of the pixel work (the VoLUT approach: the
 //     receiver upsamples, and quarter-res depth goes through the
@@ -51,10 +50,14 @@ func DefaultLadder() []Rung {
 	}
 }
 
-// transRef is the closed-loop reference state of one requantization rung.
+// transRef is the closed-loop reference state of one requantization rung,
+// plus its own transcode scratch, so derived rungs can run concurrently.
 type transRef struct {
-	pics [2]*codedPicture
-	prev *codedPicture
+	pics  [2]*codedPicture
+	prev  *codedPicture
+	scr   scratch
+	def   deflater
+	tjobs []transStripe
 }
 
 // LadderEncoder encodes one stream at K quality rungs per frame. Like
@@ -64,17 +67,21 @@ type LadderEncoder struct {
 	rungs []Rung
 	enc   *Encoder // rung 0: the one full encode
 
-	// Requantization rungs: per-rung closed-loop reference pictures plus
-	// shared transcode scratch.
+	// Requantization rungs: per-rung closed-loop reference state.
 	trefs map[int]*transRef // rung index → reference state
-	scr   scratch
-	def   deflater
-	tjobs []transStripe
 
 	// Quarter rungs: nested encoders plus the derived quarter frame
 	// staging (used when the caller does not supply a quarter source).
 	qencs  map[int]*Encoder
 	qframe *Frame
+
+	// Per-frame fan-out of the derived rungs: the current frame's inputs
+	// and outputs, and the ParFor body built once over them.
+	quarter *Frame
+	pkt0    *Packet
+	out     []*Packet
+	errs    [4]error
+	rungFn  func(int)
 }
 
 // NewLadderEncoder creates a ladder encoder. rungs[0] must be the identity
@@ -170,41 +177,77 @@ func (l *LadderEncoder) EncodeLadderQP(f, quarter *Frame, qp int) ([]*Packet, er
 }
 
 // deriveRungs produces rungs 1..K-1 from the just-encoded rung-0 state.
+// Derived rungs only read rung 0's state and each owns its reference,
+// scratch, and deflate state, so they run concurrently; each packet
+// depends only on its own rung's inputs, so the output is the same at any
+// worker count.
 func (l *LadderEncoder) deriveRungs(f, quarter *Frame, pkt0 *Packet) ([]*Packet, error) {
-	out := make([]*Packet, len(l.rungs))
-	out[0] = pkt0
-	l.scr.reset()
+	if quarter == nil && len(l.qencs) > 0 {
+		quarter = l.quarterFrame(f)
+	}
+	l.quarter, l.pkt0 = quarter, pkt0
+	l.out = make([]*Packet, len(l.rungs))
+	l.out[0] = pkt0
+	if l.rungFn == nil {
+		l.rungFn = func(i int) { l.errs[i+1] = l.deriveRung(i + 1) }
+	}
+	pipeline.ParFor(len(l.rungs)-1, l.rungFn)
+	out := l.out
+	l.quarter, l.pkt0, l.out = nil, nil, nil
+	var err error
 	for idx := 1; idx < len(l.rungs); idx++ {
-		r := l.rungs[idx]
-		qp := clampQP(pkt0.QP+r.QPOffset, l.cfg.MinQP, l.cfg.MaxQP)
-		var pkt *Packet
-		var err error
-		if r.Quarter {
-			pkt, err = l.encodeQuarter(l.qencs[idx], f, quarter, pkt0, qp)
-		} else {
-			pkt, err = l.transcode(l.trefs[idx], pkt0, qp)
+		if e := l.errs[idx]; e != nil && err == nil {
+			err = fmt.Errorf("vcodec: rung %d: %w", l.rungs[idx].ID, e)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("vcodec: rung %d: %w", r.ID, err)
-		}
-		pkt.Rung = r.ID
-		out[idx] = pkt
+		l.errs[idx] = nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// deriveRung produces rung idx of the current frame into l.out[idx].
+func (l *LadderEncoder) deriveRung(idx int) error {
+	r := l.rungs[idx]
+	qp := clampQP(l.pkt0.QP+r.QPOffset, l.cfg.MinQP, l.cfg.MaxQP)
+	var pkt *Packet
+	var err error
+	if r.Quarter {
+		pkt, err = l.encodeQuarter(l.qencs[idx], l.quarter, l.pkt0, qp)
+	} else {
+		pkt, err = l.transcode(l.trefs[idx], l.pkt0, qp)
+	}
+	if err != nil {
+		return err
+	}
+	pkt.Rung = r.ID
+	l.out[idx] = pkt
+	return nil
+}
+
+// quarterFrame box-filters f to the quarter rungs' resolution.
+func (l *LadderEncoder) quarterFrame(f *Frame) *Frame {
+	if l.qframe == nil {
+		w, h := (l.cfg.Width+1)/2, (l.cfg.Height+1)/2
+		l.qframe = NewFrame(w, h, l.cfg.NumPlanes)
+	}
+	q := l.qframe
+	for p := range f.Planes {
+		if pw, ph := l.cfg.planeDims(p); pw == q.W && ph == q.H {
+			// 4:2:0 chroma: rung 0 already box-filtered this plane to
+			// quarter size for its own encode.
+			copy(q.Planes[p], l.enc.srcPlanes[p])
+			continue
+		}
+		downsample2x(f.Planes[p], f.W, f.H, q.Planes[p], q.W, q.H)
+	}
+	return q
+}
+
 // encodeQuarter drives a quarter rung's nested encoder, keeping its key
 // cadence and sequence locked to rung 0.
-func (l *LadderEncoder) encodeQuarter(qe *Encoder, f, quarter *Frame, pkt0 *Packet, qp int) (*Packet, error) {
-	if quarter == nil {
-		if l.qframe == nil {
-			l.qframe = NewFrame(qe.cfg.Width, qe.cfg.Height, qe.cfg.NumPlanes)
-		}
-		for p := range f.Planes {
-			downsample2x(f.Planes[p], f.W, f.H, l.qframe.Planes[p], qe.cfg.Width, qe.cfg.Height)
-		}
-		quarter = l.qframe
-	}
+func (l *LadderEncoder) encodeQuarter(qe *Encoder, quarter *Frame, pkt0 *Packet, qp int) (*Packet, error) {
 	if pkt0.Key {
 		// Lockstep key cadence: rung 0's key (periodic or PLI-forced)
 		// forces one here too, so every rung's key frames share a seq.
@@ -226,9 +269,9 @@ func (l *LadderEncoder) encodeQuarter(qe *Encoder, f, quarter *Frame, pkt0 *Pack
 type transStripe struct {
 	src         *encStripe // rung 0's coded stripe (symbols + geometry)
 	key         bool
-	step0       float64 // rung 0's quantizer step for this plane
-	step1       float64 // this rung's step
-	prev, recon []int32 // this rung's reference planes (coded dims)
+	q0          quantizer // rung 0's quantizer for this plane
+	q1          quantizer // this rung's quantizer
+	prev, recon []int32   // this rung's reference planes (coded dims)
 	coeffs      *byteWriter
 	err         error // per-stripe so parallel workers never share a slot
 }
@@ -249,7 +292,8 @@ func (l *LadderEncoder) transcode(tr *transRef, pkt0 *Packet, qp int) (*Packet, 
 	// Build one transcode job per rung-0 encode stripe. Jobs mirror the
 	// (plane, stripe) order of e.jobs, so assembling their streams in job
 	// order reproduces the sequential symbol order at any worker count.
-	l.tjobs = l.tjobs[:0]
+	tr.scr.reset()
+	tr.tjobs = tr.tjobs[:0]
 	for i := range e.jobs {
 		job := &e.jobs[i]
 		p := planeIndexOf(e, job.pc)
@@ -261,48 +305,48 @@ func (l *LadderEncoder) transcode(tr *transRef, pkt0 *Packet, qp int) (*Packet, 
 		if !key {
 			prevPlane = tr.prev.planes[p]
 		}
-		l.tjobs = append(l.tjobs, transStripe{
+		tr.tjobs = append(tr.tjobs, transStripe{
 			src:    job,
 			key:    key,
-			step0:  job.pc.step,
-			step1:  qpToStep(pqp, l.cfg.BitDepth),
+			q0:     job.pc.q,
+			q1:     newQuantizer(pqp),
 			prev:   prevPlane,
 			recon:  recon.planes[p],
-			coeffs: l.scr.getWriter(),
+			coeffs: tr.scr.getWriter(),
 		})
 	}
-	pipeline.ParFor(len(l.tjobs), func(i int) {
-		l.tjobs[i].err = l.tjobs[i].run()
+	pipeline.ParFor(len(tr.tjobs), func(i int) {
+		tr.tjobs[i].err = tr.tjobs[i].run()
 	})
-	for i := range l.tjobs {
-		if err := l.tjobs[i].err; err != nil {
+	for i := range tr.tjobs {
+		if err := tr.tjobs[i].err; err != nil {
 			return nil, err
 		}
 	}
 
 	// Assemble the rung's payload: rung 0's mode and MV streams verbatim,
 	// this rung's coefficient streams, all in (plane, stripe) order.
-	payload := l.scr.getWriter()
+	payload := tr.scr.getWriter()
 	var mLen, vLen, cLen uint64
-	for i := range l.tjobs {
-		mLen += uint64(len(l.tjobs[i].src.modes.buf))
-		vLen += uint64(len(l.tjobs[i].src.mvs.buf))
-		cLen += uint64(len(l.tjobs[i].coeffs.buf))
+	for i := range tr.tjobs {
+		mLen += uint64(len(tr.tjobs[i].src.modes.buf))
+		vLen += uint64(len(tr.tjobs[i].src.mvs.buf))
+		cLen += uint64(len(tr.tjobs[i].coeffs.buf))
 	}
 	payload.writeUvarint(mLen)
-	for i := range l.tjobs {
-		payload.buf = append(payload.buf, l.tjobs[i].src.modes.buf...)
+	for i := range tr.tjobs {
+		payload.buf = append(payload.buf, tr.tjobs[i].src.modes.buf...)
 	}
 	payload.writeUvarint(vLen)
-	for i := range l.tjobs {
-		payload.buf = append(payload.buf, l.tjobs[i].src.mvs.buf...)
+	for i := range tr.tjobs {
+		payload.buf = append(payload.buf, tr.tjobs[i].src.mvs.buf...)
 	}
 	payload.writeUvarint(cLen)
-	for i := range l.tjobs {
-		payload.buf = append(payload.buf, l.tjobs[i].coeffs.buf...)
+	for i := range tr.tjobs {
+		payload.buf = append(payload.buf, tr.tjobs[i].coeffs.buf...)
 	}
 
-	hdr := l.scr.getWriter()
+	hdr := tr.scr.getWriter()
 	hdr.writeByte('V')
 	flags := byte(0)
 	if key {
@@ -312,7 +356,7 @@ func (l *LadderEncoder) transcode(tr *transRef, pkt0 *Packet, qp int) (*Packet, 
 	hdr.writeUvarint(uint64(pkt0.Seq))
 	hdr.writeUvarint(uint64(qp))
 
-	data, err := l.def.compress(hdr.buf, payload.buf, auxFlateLevel(l.cfg.FlateLevel))
+	data, err := tr.def.compress(hdr.buf, payload.buf, auxFlateLevel(l.cfg.FlateLevel))
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +367,7 @@ func (l *LadderEncoder) transcode(tr *transRef, pkt0 *Packet, qp int) (*Packet, 
 // auxFlateLevel caps the entropy-coder effort of derived rungs. Rung 0
 // carries the stream's quality contract; the auxiliary rungs exist to be
 // cheap, and deflate effort is the bulk of their remaining cost once mode
-// decisions and the DCT are reused (or quartered). Level 1 uses the
+// decisions and the transform are reused (or quartered). Level 1 uses the
 // stdlib's specialized fast matcher — several times cheaper than level
 // 2+'s generic one for a few percent of size. DEFLATE is self-describing,
 // so decoders never see the difference. ExplicitZero (stored blocks) is
@@ -345,6 +389,9 @@ func planeIndexOf(e *Encoder, pc *planeCode) int {
 	return 0
 }
 
+// requantSpan bounds the rung-0 levels transStripe.run tabulates.
+const requantSpan = 32
+
 // run requantizes and reconstructs one stripe. The symbol walk mirrors
 // parsePlane; the reconstruction mirrors decStripe.decode so the rung's
 // reference tracks its decoder bit-exactly.
@@ -355,11 +402,13 @@ func (t *transStripe) run() error {
 	modes := byteReader{buf: t.src.modes.buf}
 	mvs := byteReader{buf: t.src.mvs.buf}
 	coeffs := byteReader{buf: t.src.coeffs.buf}
-	ratio := t.step0 / t.step1
-
-	var predBlk [blockSize * blockSize]int32
-	var fblk [blockSize * blockSize]float64
-	var q [blockSize * blockSize]int64
+	var predBlk, cblk, q [blockSize * blockSize]int32
+	// Rung 0's levels are overwhelmingly small, so the requantization of
+	// those is tabulated once per stripe (the same computation, cached).
+	var requant [2*requantSpan + 1]int32
+	for l := range requant {
+		requant[l] = t.q1.quant(t.q0.dequant(int32(l - requantSpan)))
+	}
 
 	for byi := t.src.row0; byi < t.src.row1; byi++ {
 		for bxi := 0; bxi < bx; bxi++ {
@@ -389,15 +438,21 @@ func (t *transStripe) run() error {
 			if count > blockSize*blockSize {
 				return fmt.Errorf("vcodec: transcode coefficient count %d out of range", count)
 			}
-			// Requantize: c1 = round(c0 * step0 / step1). Trailing
-			// requantized-to-zero coefficients are trimmed from the count.
+			// Requantize: the level nearest rung 0's reconstructed
+			// coefficient at this rung's step. Trailing requantized-to-zero
+			// coefficients are trimmed from the count.
 			lastNZ := -1
 			for k := 0; k < count; k++ {
 				c0, err := coeffs.readVarint()
 				if err != nil {
 					return err
 				}
-				v := int64(math.Round(float64(c0) * ratio))
+				var v int32
+				if c0 >= -requantSpan && c0 <= requantSpan {
+					v = requant[c0+requantSpan]
+				} else {
+					v = t.q1.quant(t.q0.dequant(clampLevel(c0)))
+				}
 				q[k] = v
 				if v != 0 {
 					lastNZ = k
@@ -405,7 +460,7 @@ func (t *transStripe) run() error {
 			}
 			t.coeffs.writeUvarint(uint64(lastNZ + 1))
 			for k := 0; k <= lastNZ; k++ {
-				t.coeffs.writeVarint(q[k])
+				t.coeffs.writeVarint(int64(q[k]))
 			}
 
 			// Closed-loop reconstruction from this rung's own reference.
@@ -430,36 +485,7 @@ func (t *transStripe) run() error {
 				scatterPred(t.recon, w, h, x0, y0, &predBlk, pc.maxVal)
 				continue
 			}
-			kr, kc := 0, 0
-			for k := 1; k <= lastNZ; k++ {
-				if q[k] == 0 {
-					continue
-				}
-				zz := zigzag[k]
-				if r := zz / blockSize; r > kr {
-					kr = r
-				}
-				if c := zz % blockSize; c > kc {
-					kc = c
-				}
-			}
-			if kr == 0 && kc == 0 {
-				// DC-only (the dominant case after coarse requantization):
-				// the inverse transform is a constant plane, so add the
-				// once-rounded delta — bit-identical to the full path.
-				scatterPredDelta(t.recon, w, h, x0, y0, &predBlk, dcDelta(float64(q[0])*t.step1), pc.maxVal)
-				continue
-			}
-			for k := range fblk {
-				fblk[k] = 0
-			}
-			for k := 0; k <= lastNZ; k++ {
-				if q[k] != 0 {
-					fblk[zigzag[k]] = float64(q[k]) * t.step1
-				}
-			}
-			idct2dBounded(&fblk, kr, kc)
-			scatter(t.recon, w, h, x0, y0, &predBlk, &fblk, pc.maxVal)
+			reconstructBlock(t.recon, w, h, x0, y0, &predBlk, &cblk, q[:lastNZ+1], t.q1, pc.bitDepth, pc.maxVal)
 		}
 	}
 	return nil

@@ -8,10 +8,10 @@
 //  2. inter-frame prediction — P-frames predict blocks from the previous
 //     reconstructed frame (zero-motion, optional motion search) so static
 //     tiled content costs almost nothing;
-//  3. block-transform quantization — an 8x8 DCT with an H.265-style
-//     QP-to-step mapping (step doubles every 6 QP), which compresses smooth
-//     regions well and distorts discontinuities, exactly the behaviour
-//     LiVo's depth-scaling design reasons about;
+//  3. block-transform quantization — H.265's 8x8 integer core transform
+//     with its QP-to-step mapping (step doubles every 6 QP), which
+//     compresses smooth regions well and distorts discontinuities, exactly
+//     the behaviour LiVo's depth-scaling design reasons about;
 //  4. a 16-bit single-plane mode — the Y444_16LE analogue used for depth.
 //
 // Color frames are coded as 3 planes in YCbCr with a chroma QP offset (the
@@ -20,6 +20,8 @@
 package vcodec
 
 import (
+	"math"
+
 	"livo/internal/frame"
 	"livo/internal/pipeline"
 )
@@ -166,7 +168,7 @@ func ChunkedSquaredError(a, b []int32, partials []float64) []float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			d := float64(a[i] - b[i])
-			s += d * d
+			s += float64(d * d) // conversion forbids FMA: same sum on every arch
 		}
 		partials[c] = s
 	})
@@ -193,5 +195,5 @@ func PlaneRMSE(a, b *Frame) float64 {
 	if n == 0 {
 		return 0
 	}
-	return sqrt(sum / float64(n))
+	return math.Sqrt(sum / float64(n))
 }

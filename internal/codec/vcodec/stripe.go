@@ -2,7 +2,6 @@ package vcodec
 
 import (
 	"fmt"
-	"math"
 
 	"livo/internal/pipeline"
 )
@@ -36,8 +35,9 @@ func stripeCount(by int) int {
 type planeCode struct {
 	src, prev, recon []int32
 	w, h             int
+	bitDepth         int
 	maxVal, mid      int32
-	step             float64
+	q                quantizer
 	radius           int
 }
 
@@ -66,9 +66,9 @@ func appendEncStripes(jobs []encStripe, pc *planeCode, scr *scratch) []encStripe
 	return jobs
 }
 
-// codeStripe encodes block rows [row0, row1) of one plane: predict → DCT →
-// quantize → entropy symbols → reconstruct, exactly as the sequential
-// coder did, block by block in raster order.
+// codeStripe encodes block rows [row0, row1) of one plane: predict →
+// transform → quantize → entropy symbols → reconstruct, exactly as the
+// sequential coder did, block by block in raster order.
 func (s *encStripe) code() {
 	pc := s.pc
 	w, h := pc.w, pc.h
@@ -76,7 +76,7 @@ func (s *encStripe) code() {
 	modes, mvs, coeffs := s.modes, s.mvs, s.coeffs
 
 	var srcBlk, predBlk [blockSize * blockSize]int32
-	var fblk [blockSize * blockSize]float64
+	var cblk [blockSize * blockSize]int32
 
 	for byi := s.row0; byi < s.row1; byi++ {
 		for bxi := 0; bxi < bx; bxi++ {
@@ -141,7 +141,7 @@ func (s *encStripe) code() {
 				if d != 0 {
 					allZero = false
 				}
-				fblk[i] = float64(d)
+				cblk[i] = d
 			}
 			if allZero {
 				coeffs.writeUvarint(0)
@@ -149,11 +149,11 @@ func (s *encStripe) code() {
 				continue
 			}
 
-			fdct2d(&fblk)
-			var q [blockSize * blockSize]int64
+			forwardTransform(&cblk, pc.bitDepth)
+			var q [blockSize * blockSize]int32
 			lastNZ := -1
 			for i, zi := range zigzag {
-				v := int64(math.Round(fblk[zi] / pc.step))
+				v := pc.q.quant(cblk[zi])
 				q[i] = v
 				if v != 0 {
 					lastNZ = i
@@ -161,7 +161,7 @@ func (s *encStripe) code() {
 			}
 			coeffs.writeUvarint(uint64(lastNZ + 1))
 			for i := 0; i <= lastNZ; i++ {
-				coeffs.writeVarint(q[i])
+				coeffs.writeVarint(int64(q[i]))
 			}
 			if lastNZ < 0 {
 				// Everything quantized away: reconstruction is the
@@ -171,14 +171,7 @@ func (s *encStripe) code() {
 			}
 
 			// Reconstruct exactly as the decoder will.
-			for i := range fblk {
-				fblk[i] = 0
-			}
-			for i := 0; i <= lastNZ; i++ {
-				fblk[zigzag[i]] = float64(q[i]) * pc.step
-			}
-			idct2d(&fblk)
-			scatter(pc.recon, w, h, x0, y0, &predBlk, &fblk, pc.maxVal)
+			reconstructBlock(pc.recon, w, h, x0, y0, &predBlk, &cblk, q[:lastNZ+1], pc.q, pc.bitDepth, pc.maxVal)
 		}
 	}
 }
@@ -193,9 +186,9 @@ func runEncStripes(jobs []encStripe) {
 // The three symbol streams are varint-coded, so stripe N's symbols cannot
 // be located without reading stripe N-1's — the parse is inherently
 // serial. It is also cheap (byte scanning) next to the reconstruction
-// (IDCT per block), so decode runs in two phases: a serial parse into
-// per-block tables, then stripe-parallel predict + dequantize + IDCT +
-// reconstruct over those tables.
+// (inverse transform per block), so decode runs in two phases: a serial
+// parse into per-block tables, then stripe-parallel predict + dequantize
+// + inverse transform + reconstruct over those tables.
 
 // parsedPlane is the decoder's per-plane symbol table, reused across
 // frames. Motion vectors and coefficients are stored per block; coeffs is
@@ -206,7 +199,7 @@ type parsedPlane struct {
 	mvy    []int32
 	counts []int32
 	offs   []int32
-	coeffs []int64
+	coeffs []int32
 }
 
 func (pp *parsedPlane) reset(nblocks int) {
@@ -238,6 +231,19 @@ func clampMV(v int64) int32 {
 	}
 	if v < -lim {
 		return -lim
+	}
+	return int32(v)
+}
+
+// clampLevel bounds a decoded level to ±coefMax. Every level that far out
+// dequantizes to the ±coefMax clamp anyway (the step is at least 320), so
+// this changes no reconstruction; it only lets levels live in int32.
+func clampLevel(v int64) int32 {
+	if v > coefMax {
+		return coefMax
+	}
+	if v < -coefMax {
+		return -coefMax
 	}
 	return int32(v)
 }
@@ -289,7 +295,7 @@ func parsePlane(pp *parsedPlane, nblocks int, prevNil bool, modes, mvs, coeffs *
 			if err != nil {
 				return err
 			}
-			pp.coeffs = append(pp.coeffs, v)
+			pp.coeffs = append(pp.coeffs, clampLevel(v))
 		}
 	}
 	return nil
@@ -301,8 +307,9 @@ type planeDecode struct {
 	pp          *parsedPlane
 	prev, recon []int32
 	w, h        int
+	bitDepth    int
 	maxVal, mid int32
-	step        float64
+	q           quantizer
 }
 
 // decStripe is one unit of parallel decode work.
@@ -332,8 +339,7 @@ func (s *decStripe) decode() {
 	bx := (w + blockSize - 1) / blockSize
 	pp := pd.pp
 
-	var predBlk [blockSize * blockSize]int32
-	var fblk [blockSize * blockSize]float64
+	var predBlk, cblk [blockSize * blockSize]int32
 
 	for byi := s.row0; byi < s.row1; byi++ {
 		for bxi := 0; bxi < bx; bxi++ {
@@ -354,56 +360,49 @@ func (s *decStripe) decode() {
 				continue
 			}
 			off := int(pp.offs[i])
-			kr, kc := 0, 0
-			for k := 1; k < count; k++ {
-				if pp.coeffs[off+k] == 0 {
-					continue
-				}
-				zz := zigzag[k]
-				if r := zz / blockSize; r > kr {
-					kr = r
-				}
-				if cc := zz % blockSize; cc > kc {
-					kc = cc
-				}
-			}
-			if kr == 0 && kc == 0 {
-				// DC-only block: the inverse transform is a constant plane,
-				// so add the once-rounded delta (bit-identical to the full
-				// transform + per-pixel rounding).
-				scatterPredDelta(pd.recon, w, h, x0, y0, &predBlk, dcDelta(float64(pp.coeffs[off])*pd.step), pd.maxVal)
-				continue
-			}
-			for k := range fblk {
-				fblk[k] = 0
-			}
-			for k := 0; k < count; k++ {
-				if c := pp.coeffs[off+k]; c != 0 {
-					fblk[zigzag[k]] = float64(c) * pd.step
-				}
-			}
-			idct2dBounded(&fblk, kr, kc)
-			scatter(pd.recon, w, h, x0, y0, &predBlk, &fblk, pd.maxVal)
+			reconstructBlock(pd.recon, w, h, x0, y0, &predBlk, &cblk, pp.coeffs[off:off+count], pd.q, pd.bitDepth, pd.maxVal)
 		}
 	}
 }
 
-// scatterPred writes the clamped prediction into the in-bounds part of the
-// block at (x0, y0) — the zero-residual fast path shared by encoder and
-// decoder.
-func scatterPred(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, maxVal int32) {
-	for y := 0; y < blockSize; y++ {
-		sy := y0 + y
-		if sy >= h {
-			break
-		}
-		row := plane[sy*w:]
-		for x := 0; x < blockSize; x++ {
-			sx := x0 + x
-			if sx >= w {
-				break
-			}
-			row[sx] = clampI32(pred[y*blockSize+x], 0, maxVal)
+// reconstructBlock dequantizes levels (the coded coefficients in zigzag
+// order), inverse-transforms them, adds pred, and writes the clamped
+// result into the in-bounds part of the block at (x0, y0). It is the one
+// residual reconstruction the encoder, the ladder transcoder, and the
+// decoder share, so their pictures agree bit for bit. levels must be
+// non-empty; blk is scratch.
+//
+// Special cases of the same integer kernel keep the common blocks cheap:
+// a DC-only block adds one constant (dcResidual), and the inverse skips
+// what the last populated row and column prove zero. All are exact, not
+// approximations.
+func reconstructBlock(plane []int32, w, h, x0, y0 int, pred, blk *[blockSize * blockSize]int32,
+	levels []int32, q quantizer, bitDepth int, maxVal int32) {
+	kr, kc, ac := 0, 0, false
+	for k := 1; k < len(levels); k++ {
+		if levels[k] != 0 {
+			ac = true
+			kr = max(kr, zigzagRow[k])
+			kc = max(kc, zigzagCol[k])
 		}
 	}
+	if !ac {
+		scatterPredDelta(plane, w, h, x0, y0, pred, dcResidual(q.dequant(levels[0]), bitDepth), maxVal)
+		return
+	}
+	*blk = [blockSize * blockSize]int32{}
+	for k, l := range levels {
+		if l != 0 {
+			blk[zigzag[k]] = q.dequant(l)
+		}
+	}
+	inverseTransform(blk, kr, kc, bitDepth)
+	scatter(plane, w, h, x0, y0, pred, blk, maxVal)
+}
+
+// scatterPred writes the clamped prediction into the in-bounds part of the
+// block at (x0, y0) — the zero-residual path shared by encoder, ladder
+// transcoder and decoder.
+func scatterPred(plane []int32, w, h, x0, y0 int, pred *[blockSize * blockSize]int32, maxVal int32) {
+	scatterPredDelta(plane, w, h, x0, y0, pred, 0, maxVal)
 }

@@ -57,11 +57,19 @@ func WriteTimelinesJSONL(w io.Writer, tls []FrameTimeline) error {
 func WriteEventsJSONL(w io.Writer, r *EventRing, n int) error {
 	for _, ev := range r.Recent(n) {
 		var err error
-		if ev.Kind == EvFrameDrop {
+		switch ev.Kind {
+		case EvFrameDrop:
 			_, err = fmt.Fprintf(w,
 				"{\"event\":%q,\"reason\":%q,\"stream\":%d,\"seq\":%d,\"sub\":%d,\"t_ns\":%d}\n",
 				ev.Kind.String(), DropReason(ev.Val).String(), ev.Stream, ev.Seq, ev.Sub, ev.TimeNs)
-		} else {
+		case EvRungSwitch:
+			from, to, remb := UnpackRungSwitch(ev.Val)
+			a := ev.Aux
+			_, err = fmt.Fprintf(w,
+				"{\"event\":%q,\"stream\":%d,\"seq\":%d,\"sub\":%d,\"from\":%d,\"to\":%d,\"remb_bps\":%d,\"rung_bps\":[%d,%d,%d,%d],\"est_age_ms\":%.1f,\"t_ns\":%d}\n",
+				ev.Kind.String(), ev.Stream, ev.Seq, ev.Sub, from, to, remb,
+				a[0], a[1], a[2], a[3], float64(a[4])/1e6, ev.TimeNs)
+		default:
 			_, err = fmt.Fprintf(w,
 				"{\"event\":%q,\"stream\":%d,\"seq\":%d,\"sub\":%d,\"val\":%d,\"t_ns\":%d}\n",
 				ev.Kind.String(), ev.Stream, ev.Seq, ev.Sub, ev.Val, ev.TimeNs)

@@ -15,7 +15,7 @@ const (
 	EvRetxHit                        // NACK served from the retransmission cache
 	EvRetxMiss                       // NACK escalated to the sender
 	EvREMB                           // forwarded REMB minimum changed; Val is bps
-	EvRungSwitch                     // subscriber rung switch committed; Val is RungSwitchVal
+	EvRungSwitch                     // subscriber rung switch committed; Val is RungSwitchVal, Aux is RungSwitchAux
 	NumEventKinds   int       = iota
 )
 
@@ -65,6 +65,18 @@ func UnpackRungSwitch(v int64) (oldRung, newRung uint8, rembBps int64) {
 	return uint8(v >> 8), uint8(v), v >> 16
 }
 
+// NumAux is how many kind-specific auxiliary values an event carries.
+const NumAux = 5
+
+// RungSwitchAux lays out the rest of a rung switch's selector inputs in
+// Event.Aux: the per-rung bitrate estimates (bps, rungs 0..3) the REMB was
+// compared against, and the estimator's age — ns since its first baseline
+// — when the selector chose. A selection on a cold estimator shows up as
+// a small age.
+func RungSwitchAux(rungBps [4]int64, estAgeNs int64) [NumAux]int64 {
+	return [NumAux]int64{rungBps[0], rungBps[1], rungBps[2], rungBps[3], estAgeNs}
+}
+
 // Event is one recorded data-plane event.
 type Event struct {
 	Kind   EventKind
@@ -73,6 +85,7 @@ type Event struct {
 	Sub    int32  // subscriber id; -1 if not tied to one subscriber
 	Val    int64  // kind-specific value (drop reason, bps, ns)
 	TimeNs int64
+	Aux    [NumAux]int64 // kind-specific extras (EvRungSwitch: RungSwitchAux); zero otherwise
 }
 
 // eventSlot follows the same ticket-publication scheme as Ledger slots.
@@ -82,6 +95,7 @@ type eventSlot struct {
 	sub    atomic.Int64
 	val    atomic.Int64
 	t      atomic.Int64
+	aux    [NumAux]atomic.Int64
 }
 
 // EventRing is a fixed-capacity lock-free ring of recent data-plane
@@ -121,6 +135,11 @@ func (r *EventRing) Recorded() uint64 {
 // Add records one event at time.Now(). Safe for concurrent use; free of
 // allocations; a no-op on nil.
 func (r *EventRing) Add(kind EventKind, stream uint8, seq uint32, sub int32, val int64) {
+	r.AddAux(kind, stream, seq, sub, val, [NumAux]int64{})
+}
+
+// AddAux is Add with the event's auxiliary values.
+func (r *EventRing) AddAux(kind EventKind, stream uint8, seq uint32, sub int32, val int64, aux [NumAux]int64) {
 	if r == nil {
 		return
 	}
@@ -131,6 +150,9 @@ func (r *EventRing) Add(kind EventKind, stream uint8, seq uint32, sub int32, val
 	s.sub.Store(int64(sub))
 	s.val.Store(val)
 	s.t.Store(time.Now().UnixNano())
+	for k := range aux {
+		s.aux[k].Store(aux[k])
+	}
 	s.ticket.Store(i + 1)
 }
 
@@ -156,6 +178,10 @@ func (r *EventRing) Recent(n int) []Event {
 			continue
 		}
 		meta, sub, val, t := s.meta.Load(), s.sub.Load(), s.val.Load(), s.t.Load()
+		var aux [NumAux]int64
+		for k := range aux {
+			aux[k] = s.aux[k].Load()
+		}
 		if s.ticket.Load() != i+1 {
 			continue
 		}
@@ -166,6 +192,7 @@ func (r *EventRing) Recent(n int) []Event {
 			Sub:    int32(sub),
 			Val:    val,
 			TimeNs: t,
+			Aux:    aux,
 		})
 	}
 	return out

@@ -1,6 +1,8 @@
 package frametrace
 
 import (
+	"bytes"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -128,6 +130,19 @@ func TestEventRing(t *testing.T) {
 	}
 	if got[1].Kind != EvREMB || got[1].Val != 4_000_000 || got[1].Sub != NoSub {
 		t.Fatalf("remb event: got %+v", got[1])
+	}
+	aux := RungSwitchAux([4]int64{3e6, 1e6, 4e5, 0}, 2e9)
+	r.AddAux(EvRungSwitch, 1, 7, 2, RungSwitchVal(0, 2, 5e5), aux)
+	var buf bytes.Buffer
+	if err := WriteEventsJSONL(&buf, r, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"event":"rung_switch","stream":1,"seq":7,"sub":2,"from":0,"to":2,"remb_bps":500000,"rung_bps":[3000000,1000000,400000,0],"est_age_ms":2000.0,`
+	if !strings.HasPrefix(buf.String(), want) {
+		t.Fatalf("rung switch JSONL:\n got %s\nwant prefix %s", buf.String(), want)
+	}
+	if ev := r.Recent(1)[0]; ev.Aux != aux {
+		t.Fatalf("rung switch aux: got %v, want %v", ev.Aux, aux)
 	}
 	for i := 0; i < 200; i++ {
 		r.Add(EvRetxHit, 0, uint32(i), 0, 0)

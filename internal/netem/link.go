@@ -102,21 +102,27 @@ func (l *Link) serializeFinish(start float64, bytes int) float64 {
 		interval = l.Trace.Interval
 	}
 	for iter := 0; iter < 1<<20; iter++ {
-		cap := l.capacityAt(t)
+		// The trace interval holding t is [end-interval, end). On a
+		// boundary that divides inexactly (43*0.05/0.05 = 42.99…) floor
+		// lands one interval short and end == t, which would integrate
+		// nothing and spin; step past t. The capacity is read mid-interval
+		// so it is the rate of the interval being integrated.
+		end := (math.Floor(t/interval) + 1) * interval
+		if end <= t {
+			end += interval
+		}
+		cap := l.capacityAt(end - interval/2)
 		if cap <= 0 {
 			// Outage: skip to the next trace interval.
-			t = (math.Floor(t/interval) + 1) * interval
+			t = end
 			continue
 		}
-		// Time left in this trace interval.
-		intervalEnd := (math.Floor(t/interval) + 1) * interval
-		dt := intervalEnd - t
-		canSend := cap * dt
+		canSend := cap * (end - t)
 		if canSend >= remaining {
 			return t + remaining/cap
 		}
 		remaining -= canSend
-		t = intervalEnd
+		t = end
 	}
 	return t
 }

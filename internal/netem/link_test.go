@@ -20,6 +20,24 @@ func TestFixedLinkSerialization(t *testing.T) {
 	}
 }
 
+// TestTraceBoundaryFinish serializes a packet across a 0.05 s trace
+// boundary that floor(t/interval) misplaces (43*0.05 divides to 42.99…),
+// and checks the finish time by hand: 40 kB in the rest of interval 42 at
+// 1 MB/s, then the last 20 kB at interval 43's 2 MB/s.
+func TestTraceBoundaryFinish(t *testing.T) {
+	tr := &trace.Bandwidth{Interval: 0.05, Mbps: []float64{8, 16}}
+	l := NewLink(tr)
+	l.PropDelay = 0
+	l.QueueBytes = 0
+	arrival, dropped := l.Send(2.11, 60_000)
+	if dropped {
+		t.Fatal("unexpected drop")
+	}
+	if want := 2.11 + 0.04 + 0.01; math.Abs(arrival-want) > 1e-9 {
+		t.Errorf("arrival = %v, want %v", arrival, want)
+	}
+}
+
 func TestLinkQueueing(t *testing.T) {
 	l := NewFixedLink(8)
 	l.PropDelay = 0

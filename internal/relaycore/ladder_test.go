@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"livo/internal/frametrace"
 	"livo/internal/transport"
 )
 
@@ -106,6 +107,7 @@ func TestLadderSwitchAtKeyBoundary(t *testing.T) {
 			cfg := testConfig()
 			cfg.Shards = shards
 			cfg.Now = clk.Now
+			cfg.Events = frametrace.NewEventRing(256)
 			r := NewRouter(rec, senderAddr(), cfg)
 			h := &ladderHarness{t: t, r: r, clk: clk}
 
@@ -117,8 +119,26 @@ func TestLadderSwitchAtKeyBoundary(t *testing.T) {
 			remb := func(bps float64) { r.RouteFeedback(transport.AppendREMB(nil, bps), subAddr) }
 
 			// Phase A: plenty of bandwidth. Two GOPs warm up the per-rung
-			// rate estimator (first REMB only records baselines).
-			for i := 0; i < 2*gop; i++ {
+			// rate estimator (first REMB only records baselines). The cold
+			// start is ordered deterministically: every shard's ingest is
+			// held while the first frame (a key on all three rungs) is
+			// routed and the first REMB lands, so the selector runs before
+			// any delivery decision, and drained before the next REMB can
+			// revise the assignment. A selector that assigned a rung off
+			// the estimator's empty baseline would commit it at this very
+			// key frame.
+			for _, s := range r.shards {
+				s.hold.Lock()
+			}
+			h.frame(true)
+			remb(1e6)
+			for _, s := range r.shards {
+				s.hold.Unlock()
+			}
+			if !r.WaitIdle(2 * time.Second) {
+				t.Fatal("router did not drain the first frame")
+			}
+			for i := 1; i < 2*gop; i++ {
 				h.frame(h.seq%gop == 0)
 				remb(1e6)
 			}
@@ -204,6 +224,31 @@ func TestLadderSwitchAtKeyBoundary(t *testing.T) {
 			}
 			if st.RungSubscribers[0] != 1 {
 				t.Fatalf("RungSubscribers = %v, want subscriber counted on rung 0", st.RungSubscribers)
+			}
+
+			// Each committed switch carries the selector's inputs: the REMB,
+			// every live rung's rate estimate, and an estimator age of at
+			// least one full measurement interval.
+			var switchEvents int
+			for _, ev := range cfg.Events.Recent(cfg.Events.Cap()) {
+				if ev.Kind != frametrace.EvRungSwitch {
+					continue
+				}
+				switchEvents++
+				if _, _, remb := frametrace.UnpackRungSwitch(ev.Val); remb <= 0 {
+					t.Fatalf("rung switch event without its REMB: %+v", ev)
+				}
+				for rung := 0; rung < 3; rung++ {
+					if ev.Aux[rung] <= 0 {
+						t.Fatalf("rung switch event without rung %d's rate: %+v", rung, ev)
+					}
+				}
+				if age := time.Duration(ev.Aux[4]); age < rungRateMinInterval {
+					t.Fatalf("rung switch selected on a %v-old estimator: %+v", age, ev)
+				}
+			}
+			if switchEvents != 2 {
+				t.Fatalf("%d rung switch events, want 2", switchEvents)
 			}
 
 			r.Close()

@@ -190,13 +190,17 @@ type Subscriber struct {
 	// targetRung is the REMB-selected assignment (written by the feedback
 	// goroutine); prevRung/switchSeq remember the last switch so NACKs for
 	// pre-switch frames are served from the rung that was actually sent.
-	// selREMB is the estimate (bps) that drove the current target, carried
-	// into the rung-switch event; switches counts committed switches.
+	// selREMB, selRates and selAgeNs are the selector inputs that drove
+	// the current target (the REMB estimate, the per-rung bitrate
+	// estimates, and the estimator's age), carried into the rung-switch
+	// event; switches counts committed switches.
 	curRung    atomic.Uint32
 	targetRung atomic.Uint32
 	prevRung   atomic.Uint32
 	switchSeq  atomic.Uint32
 	selREMB    atomic.Int64
+	selRates   [transport.MaxRungs]atomic.Int64
+	selAgeNs   atomic.Int64
 	switches   atomic.Int64
 }
 
@@ -249,8 +253,13 @@ func commitAndFilterRung(sub *Subscriber, fid frameID, frag0 bool,
 		sub.switches.Add(1)
 		switches.Add(1)
 		tel.Inc()
-		events.Add(frametrace.EvRungSwitch, fid.stream, fid.seq, sub.id,
-			frametrace.RungSwitchVal(uint8(cur), uint8(tgt), sub.selREMB.Load()))
+		var rates [transport.MaxRungs]int64
+		for i := range rates {
+			rates[i] = sub.selRates[i].Load()
+		}
+		events.AddAux(frametrace.EvRungSwitch, fid.stream, fid.seq, sub.id,
+			frametrace.RungSwitchVal(uint8(cur), uint8(tgt), sub.selREMB.Load()),
+			frametrace.RungSwitchAux(rates, sub.selAgeNs.Load()))
 		cur = tgt
 	}
 	return uint32(fid.rung) == cur
@@ -318,12 +327,20 @@ type Router struct {
 	// and the selector assigns each subscriber the best rung its estimate
 	// affords. ladderSeen latches once any rung > 0 is observed — until
 	// then the stream is single-rung and every path behaves as before.
-	ladderSeen   atomic.Bool
-	rungSwitches atomic.Int64
-	rungBytes    [transport.MaxRungs]atomic.Int64
-	rungRate     [transport.MaxRungs]float64 // fbMu
-	rungLastByte [transport.MaxRungs]int64   // fbMu
-	rungRateNs   int64                       // fbMu
+	// rungSeen records every rung ever routed, independently of the byte
+	// counting (which starts only at the latch, so rung-0 packets before
+	// it are never counted). The estimator takes its baseline at the first
+	// REMB after the latch (rungRateStartNs) and is ready once it has
+	// measured one full interval; the selector assigns nothing before.
+	ladderSeen      atomic.Bool
+	rungSwitches    atomic.Int64
+	rungSeen        [transport.MaxRungs]atomic.Bool
+	rungBytes       [transport.MaxRungs]atomic.Int64
+	rungRate        [transport.MaxRungs]float64 // fbMu
+	rungLastByte    [transport.MaxRungs]int64   // fbMu
+	rungRateNs      int64                       // fbMu
+	rungRateStartNs int64                       // fbMu
+	rungRateReady   bool                        // fbMu
 
 	mediaPkts     atomic.Int64
 	fanoutPkts    atomic.Int64
@@ -641,6 +658,9 @@ func (r *Router) RouteMedia(buf *PacketBuf) {
 	// frag0 marks a frame's first data fragment: the trace stamp site and
 	// the rung-switch commit point.
 	_, _, frag0 := transport.FirstFragment(b)
+	if fid.media && !r.rungSeen[fid.rung].Load() {
+		r.rungSeen[fid.rung].Store(true)
+	}
 	if fid.media && (fid.rung > 0 || r.ladderSeen.Load()) {
 		// Per-rung byte accounting for the REMB rung selector; one atomic
 		// add per packet, folded into EWMA bitrates off the hot path.
@@ -953,6 +973,7 @@ func (r *Router) RouteFeedback(b []byte, from net.Addr) {
 func (r *Router) updateRungRatesLocked(now int64) {
 	if r.rungRateNs == 0 {
 		r.rungRateNs = now
+		r.rungRateStartNs = now
 		for i := range r.rungLastByte {
 			r.rungLastByte[i] = r.rungBytes[i].Load()
 		}
@@ -974,25 +995,29 @@ func (r *Router) updateRungRatesLocked(now int64) {
 		}
 	}
 	r.rungRateNs = now
+	r.rungRateReady = true
 }
 
 // selectRungLocked assigns sub the best rung its REMB estimate affords
 // (fbMu held): the lowest rung id — rungs are ordered best-first — whose
 // measured bitrate fits inside bps with headroom, falling back to the
 // cheapest rung ever observed when nothing fits. Moving back up to a more
-// expensive rung demands extra headroom (hysteresis). The return value
-// reports a *downswitch* — a reassignment to a cheaper rung, which the
-// caller accelerates with a PLI; upswitches wait for the GOP's next
-// periodic key frame. The assignment itself commits in the subscriber's
-// shard at a key-frame boundary (commitAndFilterRung).
+// expensive rung demands extra headroom (hysteresis). Nothing is assigned
+// until the rate estimator has measured one full interval: on its
+// baseline alone every rate reads zero and any observed rung would look
+// affordable. The return value reports a *downswitch* — a reassignment to
+// a cheaper rung, which the caller accelerates with a PLI; upswitches
+// wait for the GOP's next periodic key frame. The assignment itself
+// commits in the subscriber's shard at a key-frame boundary
+// (commitAndFilterRung).
 func (r *Router) selectRungLocked(sub *Subscriber, bps float64) (downswitch bool) {
-	if sub == nil {
+	if sub == nil || !r.rungRateReady {
 		return false
 	}
 	cur := sub.targetRung.Load()
 	best, cheapest := -1, -1
 	for i := 0; i < transport.MaxRungs; i++ {
-		if r.rungBytes[i].Load() == 0 {
+		if !r.rungSeen[i].Load() {
 			continue
 		}
 		cheapest = i
@@ -1010,6 +1035,10 @@ func (r *Router) selectRungLocked(sub *Subscriber, bps float64) (downswitch bool
 		return false // not comfortably affordable yet: hold the cheaper rung
 	}
 	sub.selREMB.Store(int64(bps))
+	for i := range sub.selRates {
+		sub.selRates[i].Store(int64(r.rungRate[i]))
+	}
+	sub.selAgeNs.Store(r.rungRateNs - r.rungRateStartNs)
 	sub.targetRung.Store(uint32(best))
 	return uint32(best) > cur
 }

@@ -48,6 +48,12 @@ type shard struct {
 	readyHead int
 	notify    chan struct{}
 
+	// hold is taken by the ingest goroutine around each batch's fan-out;
+	// holding it from outside parks ingest between batches while
+	// RouteMedia keeps filling the ring (tests use it to order a delivery
+	// decision after a feedback one).
+	hold sync.Mutex
+
 	routed atomic.Int64 // packets fanned out by this shard's ingest worker
 	stolen atomic.Int64 // queues this shard's workers stole from other shards
 
@@ -182,6 +188,7 @@ func (s *shard) runIngest(wg *sync.WaitGroup) {
 		if !ok {
 			return
 		}
+		s.hold.Lock()
 		subs := *s.subs.Load()
 		for i := 0; i < n; i++ {
 			e := batch[i]
@@ -212,6 +219,7 @@ func (s *shard) runIngest(wg *sync.WaitGroup) {
 			e.buf.Release()
 			s.pending.Add(-1)
 		}
+		s.hold.Unlock()
 		s.routed.Add(int64(n))
 		s.telRouted.Add(int64(n))
 	}

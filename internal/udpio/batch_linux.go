@@ -33,31 +33,98 @@ type osSocket struct {
 // storage, and reusable net.UDPAddrs with per-slot IP backing arrays.
 // Message.Addr points here, which is why it is only valid until the next
 // ReadBatch — and why ReadBatch is single-goroutine per socket.
+//
+// The RawConn.Read callback and its in/out state (n in; got, err out) live
+// here too, bound once per socket: a closure built per call would escape
+// to the heap, with its captured locals, on every syscall.
 type recvScratch struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6 // large enough for v4 and v6
 	addrs []net.UDPAddr
 	ips   [][16]byte
+
+	fn     func(fd uintptr) bool
+	n, got int
+	err    error
 }
 
+// sendScratch is one sendmmsg arena. Like recvScratch it carries its
+// RawConn.Write callback and that callback's state (the chunk [0, n) to
+// send; done and err out), bound once when the pool creates it.
 type sendScratch struct {
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
 	sa4  syscall.RawSockaddrInet4
 	sa6  syscall.RawSockaddrInet6
+
+	fn      func(fd uintptr) bool
+	n, done int
+	err     error
 }
 
 func (s *Socket) initOS() {
 	b := s.batch
-	s.os.recv.hdrs = make([]mmsghdr, b)
-	s.os.recv.iovs = make([]syscall.Iovec, b)
-	s.os.recv.names = make([]syscall.RawSockaddrInet6, b)
-	s.os.recv.addrs = make([]net.UDPAddr, b)
-	s.os.recv.ips = make([][16]byte, b)
+	rs := &s.os.recv
+	rs.hdrs = make([]mmsghdr, b)
+	rs.iovs = make([]syscall.Iovec, b)
+	rs.names = make([]syscall.RawSockaddrInet6, b)
+	rs.addrs = make([]net.UDPAddr, b)
+	rs.ips = make([][16]byte, b)
+	rs.fn = func(fd uintptr) bool { return s.recvmmsg(fd, rs) }
 	s.os.send.New = func() any {
-		return &sendScratch{hdrs: make([]mmsghdr, b), iovs: make([]syscall.Iovec, b)}
+		st := &sendScratch{hdrs: make([]mmsghdr, b), iovs: make([]syscall.Iovec, b)}
+		st.fn = func(fd uintptr) bool { return s.sendmmsg(fd, st) }
+		return st
 	}
+}
+
+// recvmmsg is the RawConn.Read callback: one recvmmsg for st.n slots,
+// retried on EINTR. It returns false on EAGAIN so the runtime poller parks
+// the caller until readable (or deadline/close), exactly like ReadFrom.
+func (s *Socket) recvmmsg(fd uintptr, st *recvScratch) bool {
+	for {
+		r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+			uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(st.n), 0, 0, 0)
+		s.readSyscalls.Add(1)
+		switch errno {
+		case 0:
+			st.got = int(r1)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			st.err = errno
+			return true
+		}
+	}
+}
+
+// sendmmsg is the RawConn.Write callback: sendmmsg until headers
+// [st.done, st.n) have all reached the kernel, parking on EAGAIN.
+func (s *Socket) sendmmsg(fd uintptr, st *sendScratch) bool {
+	for st.done < st.n {
+		r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&st.hdrs[st.done])), uintptr(st.n-st.done), 0, 0, 0)
+		s.writeSyscalls.Add(1)
+		switch errno {
+		case 0:
+			if r1 == 0 {
+				st.err = syscall.EIO
+				return true
+			}
+			st.done += int(r1)
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			st.err = errno
+			return true
+		}
+	}
+	return true
 }
 
 // ntohs / htons swap a uint16 between wire (big-endian) and host order;
@@ -65,9 +132,7 @@ func (s *Socket) initOS() {
 func ntohs(v uint16) int { return int(v>>8 | v<<8) }
 func htons(p int) uint16 { v := uint16(p); return v>>8 | v<<8 }
 
-// recvBatch fills message slots with one recvmmsg per kernel visit. The
-// RawConn Read closure returns false on EAGAIN so the runtime poller
-// parks us until readable (or deadline/close), exactly like ReadFrom.
+// recvBatch fills message slots with one recvmmsg per kernel visit.
 func (s *Socket) recvBatch(ms []Message) (int, error) {
 	st := &s.os.recv
 	n := len(ms)
@@ -92,34 +157,16 @@ func (s *Socket) recvBatch(ms []Message) (int, error) {
 		}
 		h.n = 0
 	}
-	var got int
-	var opErr error
-	err := s.rc.Read(func(fd uintptr) bool {
-		for {
-			r1, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&st.hdrs[0])), uintptr(n), 0, 0, 0)
-			s.readSyscalls.Add(1)
-			switch errno {
-			case 0:
-				got = int(r1)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false
-			default:
-				opErr = errno
-				return true
-			}
-		}
-	})
+	st.n, st.got, st.err = n, 0, nil
+	err := s.rc.Read(st.fn)
 	runtime.KeepAlive(ms)
 	if err != nil {
 		return 0, err
 	}
-	if opErr != nil {
-		return 0, opErr
+	if st.err != nil {
+		return 0, st.err
 	}
+	got := st.got
 	for i := 0; i < got; i++ {
 		h := &st.hdrs[i]
 		if h.hdr.Flags&syscall.MSG_TRUNC != 0 {
@@ -213,31 +260,10 @@ func (s *Socket) sendBatch(ps [][]byte, addr net.Addr) (int, error) {
 			}
 			h.n = 0
 		}
-		done := 0
-		var opErr error
-		err := s.rc.Write(func(fd uintptr) bool {
-			for done < n {
-				r1, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-					uintptr(unsafe.Pointer(&st.hdrs[done])), uintptr(n-done), 0, 0, 0)
-				s.writeSyscalls.Add(1)
-				switch errno {
-				case 0:
-					if r1 == 0 {
-						opErr = syscall.EIO
-						return true
-					}
-					done += int(r1)
-				case syscall.EINTR:
-				case syscall.EAGAIN:
-					return false
-				default:
-					opErr = errno
-					return true
-				}
-			}
-			return true
-		})
+		st.n, st.done, st.err = n, 0, nil
+		err := s.rc.Write(st.fn)
 		runtime.KeepAlive(ps)
+		done, opErr := st.done, st.err
 		s.writePkts.Add(int64(done))
 		sent += done
 		if err != nil && opErr == nil {

@@ -121,6 +121,56 @@ func TestReadBatch(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go when built with -race.
+var raceEnabled bool
+
+// TestBatchSyscallsDoNotAllocate pins the batched wire path at zero heap
+// allocations per kernel visit: each round is one WriteBatch (a sendmmsg)
+// and the ReadBatch calls (recvmmsg) that drain it, over loopback. The
+// syscall callbacks and their state are bound once per socket, so neither
+// side allocates in steady state.
+func TestBatchSyscallsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race (sync.Pool drops items)")
+	}
+	tx := listenT(t, Config{Batch: 8})
+	rx := listenT(t, Config{Batch: 8})
+	if !tx.Batched() {
+		t.Skip("kernel batching unavailable on this platform")
+	}
+	dst := rx.LocalAddr()
+	ps := make([][]byte, 4)
+	for i := range ps {
+		ps[i] = bytes.Repeat([]byte{byte(i + 1)}, 100)
+	}
+	ms := make([]Message, 8)
+	for i := range ms {
+		ms[i].Buf = make([]byte, 2048)
+	}
+	_ = rx.SetReadDeadline(time.Now().Add(10 * time.Second))
+	round := func() {
+		if n, err := tx.WriteBatch(ps, dst); err != nil || n != len(ps) {
+			t.Fatalf("WriteBatch = %d, %v", n, err)
+		}
+		for got := 0; got < len(ps); {
+			n, err := rx.ReadBatch(ms)
+			if err != nil {
+				t.Fatalf("ReadBatch: %v", err)
+			}
+			got += n
+		}
+	}
+	round() // fill the send-arena pool
+	before := tx.Stats().WriteSyscalls + rx.Stats().ReadSyscalls
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, round)
+	syscalls := tx.Stats().WriteSyscalls + rx.Stats().ReadSyscalls - before
+	if allocs != 0 {
+		t.Errorf("%v allocs per round (%d batch syscalls over %d rounds), want 0",
+			allocs, syscalls, runs+1)
+	}
+}
+
 func TestReadBatchDeadline(t *testing.T) {
 	s := listenT(t, Config{})
 	ms := []Message{{Buf: make([]byte, 2048)}}
